@@ -8,7 +8,7 @@
 //! randomness dominates any rounding), while the returned best mapping is
 //! always re-scored exactly.
 
-use crate::moves::neighbors;
+use crate::neighborhood::{Neighborhood, PipelineNeighborhood};
 use crate::score::score;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ pub fn anneal(
         start,
         schedule,
         seed,
-        |m| neighbors(pipeline, platform, m, allow_dp),
+        &mut PipelineNeighborhood::structural(pipeline, platform, allow_dp),
         |m| score(pipeline, platform, m, objective),
     )
 }
@@ -61,11 +61,14 @@ pub fn anneal(
 /// The annealing loop itself, generic over the neighborhood and the
 /// scorer — one implementation serves the pipeline-specific [`anneal`]
 /// and the cost-model-aware search in [`crate::comm`].
+///
+/// Each step draws one neighbor of the current mapping and builds only
+/// that one.
 pub fn anneal_with(
     start: Mapping,
     schedule: Schedule,
     seed: u64,
-    mut neighbors_of: impl FnMut(&Mapping) -> Vec<Mapping>,
+    neighborhood: &mut dyn Neighborhood,
     mut score_of: impl FnMut(&Mapping) -> crate::score::Score,
 ) -> Mapping {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -76,11 +79,11 @@ pub fn anneal_with(
     let mut temperature = schedule.t0;
 
     for _ in 0..schedule.steps {
-        let ns = neighbors_of(&current);
-        if ns.is_empty() {
+        neighborhood.fill(&current);
+        if neighborhood.is_empty() {
             break;
         }
-        let candidate = ns[rng.gen_range(0..ns.len())].clone();
+        let candidate = neighborhood.get(rng.gen_range(0..neighborhood.len()));
         let cand_score = score_of(&candidate);
         let accept = if cand_score <= current_score {
             true

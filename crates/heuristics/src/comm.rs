@@ -12,9 +12,15 @@
 //! moves (split a group, merge two groups, migrate a single leaf) *and*
 //! processor swaps, so local search can escape a bad constructive group
 //! structure instead of merely re-labelling its processors.
+//!
+//! Both searches walk the [`instance_neighborhood`]: the lazy
+//! [`PipelineNeighborhood`] for pipelines (the same list as
+//! [`neighbors_instance`], built one neighbor at a time) and the
+//! materialised [`ForkNeighborhood`] for fork shapes.
 
 use crate::annealing::Schedule;
 use crate::moves::{neighbors_any, neighbors_with_swaps};
+use crate::neighborhood::{ForkNeighborhood, Neighborhood, PipelineNeighborhood};
 use crate::score::score_instance;
 use repliflow_core::instance::ProblemInstance;
 use repliflow_core::mapping::Mapping;
@@ -23,6 +29,9 @@ use repliflow_core::workflow::Workflow;
 /// Every neighbor of `mapping` under the instance's workflow shape:
 /// the pipeline structural-move + swap neighborhood, or the fork /
 /// fork-join group-move + swap neighborhood. Both are duplicate-free.
+///
+/// This is the materialised reference of [`instance_neighborhood`],
+/// which the searches use.
 pub fn neighbors_instance(instance: &ProblemInstance, mapping: &Mapping) -> Vec<Mapping> {
     match &instance.workflow {
         Workflow::Pipeline(pipe) => neighbors_with_swaps(
@@ -40,13 +49,24 @@ pub fn neighbors_instance(instance: &ProblemInstance, mapping: &Mapping) -> Vec<
     }
 }
 
+/// The neighborhood searches under `instance` walk: the list of
+/// [`neighbors_instance`], listed lazily for pipelines and
+/// materialised for forks and fork-joins.
+pub fn instance_neighborhood(instance: &ProblemInstance) -> Box<dyn Neighborhood + '_> {
+    let (platform, dp) = (&instance.platform, instance.allow_data_parallel);
+    match &instance.workflow {
+        Workflow::Pipeline(pipe) => Box::new(PipelineNeighborhood::with_swaps(pipe, platform, dp)),
+        workflow => Box::new(ForkNeighborhood::new(workflow, platform, dp)),
+    }
+}
+
 /// Steepest-descent local search under the instance's cost model; the
 /// returned mapping never scores worse than `start`.
 pub fn improve_instance(instance: &ProblemInstance, start: Mapping, max_rounds: usize) -> Mapping {
     crate::local_search::improve_with(
         start,
         max_rounds,
-        |m| neighbors_instance(instance, m),
+        &mut *instance_neighborhood(instance),
         |m| score_instance(instance, m),
     )
 }
@@ -63,7 +83,7 @@ pub fn anneal_instance(
         start,
         schedule,
         seed,
-        |m| neighbors_instance(instance, m),
+        &mut *instance_neighborhood(instance),
         |m| score_instance(instance, m),
     )
 }

@@ -18,7 +18,19 @@
 //!   cost model, covering the communication-aware general model of
 //!   Sections 3.2–3.3 (with processor-swap moves, which only matter once
 //!   link bandwidths exist).
-//! * [`score`] / [`moves`] — shared scoring and neighborhood machinery.
+//! * [`score`] / [`moves`] / [`neighborhood`] — shared scoring, move
+//!   generators, and the neighborhood interface the searches walk.
+//!
+//! Local search and annealing walk a [`neighborhood::Neighborhood`]:
+//! `fill` lists the neighbors of the current mapping, `get(k)` builds
+//! the `k`-th. For pipelines the list is lazy
+//! ([`neighborhood::PipelineNeighborhood`]): compact records in reused
+//! buffers, so annealing builds only the neighbor it draws and local
+//! search only the neighbors it scores. The contract is that the lazy
+//! list is the materialised one ([`moves::neighbors`],
+//! [`moves::neighbors_with_swaps`]) — same neighbors, same order, same
+//! deduplication — so every random draw, and every result, is the one
+//! the materialised search would make.
 //!
 //! All heuristics emit *valid* mappings; their optimality gaps against
 //! the exhaustive `repliflow-exact` oracle are measured by this crate's
@@ -33,4 +45,5 @@ pub mod comm;
 pub mod greedy;
 pub mod local_search;
 pub mod moves;
+pub mod neighborhood;
 pub mod score;

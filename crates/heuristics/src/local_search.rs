@@ -1,6 +1,6 @@
 //! Steepest-descent local search over pipeline mappings.
 
-use crate::moves::neighbors;
+use crate::neighborhood::{Neighborhood, PipelineNeighborhood};
 use crate::score::{score, Score};
 use repliflow_core::instance::Objective;
 use repliflow_core::mapping::Mapping;
@@ -21,7 +21,7 @@ pub fn improve(
     improve_with(
         start,
         max_rounds,
-        |m| neighbors(pipeline, platform, m, allow_dp),
+        &mut PipelineNeighborhood::structural(pipeline, platform, allow_dp),
         |m| score(pipeline, platform, m, objective),
     )
 }
@@ -29,17 +29,21 @@ pub fn improve(
 /// The steepest-descent loop itself, generic over the neighborhood and
 /// the scorer — one implementation serves the pipeline-specific
 /// [`improve`] and the cost-model-aware search in [`crate::comm`].
+///
+/// Each neighbor is built only to be scored.
 pub fn improve_with(
     start: Mapping,
     max_rounds: usize,
-    mut neighbors_of: impl FnMut(&Mapping) -> Vec<Mapping>,
+    neighborhood: &mut dyn Neighborhood,
     mut score_of: impl FnMut(&Mapping) -> Score,
 ) -> Mapping {
     let mut current = start;
     let mut current_score = score_of(&current);
     for _ in 0..max_rounds {
         let mut best_neighbor: Option<(Score, Mapping)> = None;
-        for m in neighbors_of(&current) {
+        neighborhood.fill(&current);
+        for k in 0..neighborhood.len() {
+            let m = neighborhood.get(k);
             let s = score_of(&m);
             if s < current_score && best_neighbor.as_ref().is_none_or(|(bs, _)| s < *bs) {
                 best_neighbor = Some((s, m));

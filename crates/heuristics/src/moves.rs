@@ -8,6 +8,11 @@
 //! re-decides the *group structure* itself. Every public neighborhood
 //! is deduplicated, so mode coercion and symmetric moves never hand the
 //! same mapping to the scorer twice.
+//!
+//! The searches walk these neighborhoods through
+//! [`crate::neighborhood`]. The Vec-returning pipeline functions
+//! ([`neighbors`], [`proc_swaps`], [`neighbors_with_swaps`]) are the
+//! reference its lazy pipeline lists are tested against.
 
 use repliflow_core::mapping::{Assignment, Mapping, Mode};
 use repliflow_core::platform::Platform;
@@ -52,6 +57,12 @@ fn dedup_mappings(mappings: Vec<Mapping>) -> Vec<Mapping> {
 /// shifting an interval boundary, moving a processor between groups,
 /// merging adjacent groups, splitting a group, or toggling a single-stage
 /// group's mode (when `allow_dp`). All returned mappings are valid.
+///
+/// The searches list this neighborhood lazily through
+/// [`PipelineNeighborhood::structural`]; this materialised list is the
+/// reference it is tested against.
+///
+/// [`PipelineNeighborhood::structural`]: crate::neighborhood::PipelineNeighborhood::structural
 pub fn neighbors(
     pipeline: &Pipeline,
     platform: &Platform,
@@ -200,6 +211,10 @@ pub fn neighbors(
 /// compose it) but essential under the communication-aware model, where
 /// *which* processor serves an interval decides the link bandwidths on
 /// both of its boundaries.
+///
+/// Test reference for the swaps of [`PipelineNeighborhood::with_swaps`].
+///
+/// [`PipelineNeighborhood::with_swaps`]: crate::neighborhood::PipelineNeighborhood::with_swaps
 pub fn proc_swaps(
     pipeline: &Pipeline,
     platform: &Platform,
@@ -238,6 +253,10 @@ pub fn proc_swaps(
 
 /// The full communication-aware neighborhood: the structural moves of
 /// [`neighbors`] plus the processor swaps of [`proc_swaps`].
+///
+/// Test reference for [`PipelineNeighborhood::with_swaps`].
+///
+/// [`PipelineNeighborhood::with_swaps`]: crate::neighborhood::PipelineNeighborhood::with_swaps
 pub fn neighbors_with_swaps(
     pipeline: &Pipeline,
     platform: &Platform,
