@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use repliflow_core::gen::Gen;
-use repliflow_core::instance::Objective;
+use repliflow_core::instance::{Objective, ProblemInstance};
 use repliflow_core::mapping::{Mapping, Mode};
 use repliflow_heuristics::{annealing, greedy, local_search};
 use std::hint::black_box;
@@ -42,17 +42,9 @@ fn bench_local_search(c: &mut Criterion) {
         let pipe = gen.pipeline(n, 1, 100);
         let plat = gen.het_platform(8, 1, 10);
         let start = Mapping::whole(n, plat.procs().collect(), Mode::Replicated);
+        let instance = ProblemInstance::new(pipe, plat, false, Objective::Period);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                black_box(local_search::improve(
-                    &pipe,
-                    &plat,
-                    false,
-                    Objective::Period,
-                    start.clone(),
-                    5,
-                ))
-            });
+            b.iter(|| black_box(local_search::improve(&instance, start.clone(), 5)));
         });
     }
     group.finish();
@@ -65,22 +57,13 @@ fn bench_annealing(c: &mut Criterion) {
     let pipe = gen.pipeline(12, 1, 100);
     let plat = gen.het_platform(6, 1, 10);
     let start = Mapping::whole(12, plat.procs().collect(), Mode::Replicated);
+    let instance = ProblemInstance::new(pipe, plat, false, Objective::Period);
     let schedule = annealing::Schedule {
         steps: 500,
         ..annealing::Schedule::default()
     };
     group.bench_function("n12_p6", |b| {
-        b.iter(|| {
-            black_box(annealing::anneal(
-                &pipe,
-                &plat,
-                false,
-                Objective::Period,
-                start.clone(),
-                schedule,
-                42,
-            ))
-        });
+        b.iter(|| black_box(annealing::anneal(&instance, start.clone(), schedule, 42)));
     });
     group.finish();
 }

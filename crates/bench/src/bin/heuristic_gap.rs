@@ -9,7 +9,7 @@
 
 use repliflow_bench::config::SEED;
 use repliflow_core::gen::Gen;
-use repliflow_core::instance::Objective;
+use repliflow_core::instance::{Objective, ProblemInstance};
 use repliflow_core::mapping::{Mapping, Mode};
 use repliflow_core::rational::Rat;
 use repliflow_exact::Goal;
@@ -50,28 +50,19 @@ fn main() {
             .period;
 
         let start = Mapping::whole(n, plat.procs().collect(), Mode::Replicated);
+        let instance = ProblemInstance::new(pipe.clone(), plat.clone(), false, Objective::Period);
         let candidates: Vec<(usize, Rat)> = vec![
             (0, {
                 let m = greedy::pipeline_period_greedy(&pipe, &plat);
                 pipe.period(&plat, &m).unwrap()
             }),
             (1, {
-                let m = local_search::improve(
-                    &pipe,
-                    &plat,
-                    false,
-                    Objective::Period,
-                    start.clone(),
-                    200,
-                );
+                let m = local_search::improve(&instance, start.clone(), 200);
                 pipe.period(&plat, &m).unwrap()
             }),
             (2, {
                 let m = annealing::anneal(
-                    &pipe,
-                    &plat,
-                    false,
-                    Objective::Period,
+                    &instance,
                     start.clone(),
                     annealing::Schedule::default(),
                     case as u64,
@@ -161,7 +152,8 @@ fn main() {
     );
     let t = Instant::now();
     let start = Mapping::whole(pipe.n_stages(), plat.procs().collect(), Mode::Replicated);
-    let m = local_search::improve(&pipe, &plat, false, Objective::Period, start, 30);
+    let instance = ProblemInstance::new(pipe.clone(), plat.clone(), false, Objective::Period);
+    let m = local_search::improve(&instance, start, 30);
     println!(
         "  local search:  period {:>12.3}   in {:?}",
         pipe.period(&plat, &m).unwrap().to_f64(),

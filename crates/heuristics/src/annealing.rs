@@ -1,4 +1,5 @@
-//! Simulated annealing over pipeline mappings.
+//! Simulated annealing over mappings of any workflow shape, scored
+//! under the instance's objective and cost model.
 //!
 //! A randomized counterpart to [`crate::local_search`]: random moves from
 //! the same neighborhood, accepting uphill steps with probability
@@ -8,14 +9,12 @@
 //! randomness dominates any rounding), while the returned best mapping is
 //! always re-scored exactly.
 
-use crate::neighborhood::{Neighborhood, PipelineNeighborhood};
-use crate::score::score;
+use crate::neighborhood::instance_neighborhood;
+use crate::score::score_instance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use repliflow_core::instance::Objective;
+use repliflow_core::instance::ProblemInstance;
 use repliflow_core::mapping::Mapping;
-use repliflow_core::platform::Platform;
-use repliflow_core::workflow::Pipeline;
 
 /// Annealing parameters.
 #[derive(Clone, Copy, Debug)]
@@ -38,42 +37,23 @@ impl Default for Schedule {
     }
 }
 
-/// Runs simulated annealing from `start`; returns the best mapping seen
-/// (never worse than `start` under `objective`).
-pub fn anneal(
-    pipeline: &Pipeline,
-    platform: &Platform,
-    allow_dp: bool,
-    objective: Objective,
-    start: Mapping,
-    schedule: Schedule,
-    seed: u64,
-) -> Mapping {
-    anneal_with(
-        start,
-        schedule,
-        seed,
-        &mut PipelineNeighborhood::structural(pipeline, platform, allow_dp),
-        |m| score(pipeline, platform, m, objective),
-    )
-}
-
-/// The annealing loop itself, generic over the neighborhood and the
-/// scorer — one implementation serves the pipeline-specific [`anneal`]
-/// and the cost-model-aware search in [`crate::comm`].
+/// Runs simulated annealing from `start` over the
+/// [`instance_neighborhood`], ranking mappings by [`score_instance`];
+/// returns the best mapping seen (never worse than `start`).
+/// Deterministic for a given `seed`.
 ///
 /// Each step draws one neighbor of the current mapping and builds only
 /// that one.
-pub fn anneal_with(
+pub fn anneal(
+    instance: &ProblemInstance,
     start: Mapping,
     schedule: Schedule,
     seed: u64,
-    neighborhood: &mut dyn Neighborhood,
-    mut score_of: impl FnMut(&Mapping) -> crate::score::Score,
 ) -> Mapping {
+    let mut neighborhood = instance_neighborhood(instance);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut current = start.clone();
-    let mut current_score = score_of(&current);
+    let mut current_score = score_instance(instance, &current);
     let mut best = start;
     let mut best_score = current_score;
     let mut temperature = schedule.t0;
@@ -84,7 +64,7 @@ pub fn anneal_with(
             break;
         }
         let candidate = neighborhood.get(rng.gen_range(0..neighborhood.len()));
-        let cand_score = score_of(&candidate);
+        let cand_score = score_instance(instance, &candidate);
         let accept = if cand_score <= current_score {
             true
         } else {
@@ -108,9 +88,20 @@ pub fn anneal_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repliflow_core::comm::{CommModel, Network};
     use repliflow_core::gen::Gen;
+    use repliflow_core::instance::{CostModel, Objective};
     use repliflow_core::mapping::Mode;
+    use repliflow_core::workflow::Pipeline;
     use repliflow_exact::Goal;
+
+    fn whole(instance: &ProblemInstance) -> Mapping {
+        Mapping::whole(
+            instance.workflow.n_stages(),
+            instance.platform.procs().collect(),
+            Mode::Replicated,
+        )
+    }
 
     #[test]
     fn deterministic_per_seed_and_never_worse() {
@@ -118,26 +109,22 @@ mod tests {
         for _ in 0..10 {
             let n = gen.size(1, 5);
             let p = gen.size(1, 4);
-            let pipe = gen.pipeline(n, 1, 12);
-            let plat = gen.het_platform(p, 1, 5);
-            let start = Mapping::whole(pipe.n_stages(), plat.procs().collect(), Mode::Replicated);
-            let before = pipe.period(&plat, &start).unwrap();
+            let instance = ProblemInstance::new(
+                gen.pipeline(n, 1, 12),
+                gen.het_platform(p, 1, 5),
+                true,
+                Objective::Period,
+            );
+            let start = whole(&instance);
+            let before = instance.period(&start).unwrap();
             let sched = Schedule {
                 steps: 300,
                 ..Schedule::default()
             };
-            let a = anneal(
-                &pipe,
-                &plat,
-                true,
-                Objective::Period,
-                start.clone(),
-                sched,
-                7,
-            );
-            let b = anneal(&pipe, &plat, true, Objective::Period, start, sched, 7);
+            let a = anneal(&instance, start.clone(), sched, 7);
+            let b = anneal(&instance, start, sched, 7);
             assert_eq!(a, b, "same seed, same result");
-            let after = pipe.period(&plat, &a).unwrap();
+            let after = instance.period(&a).unwrap();
             assert!(after <= before);
         }
     }
@@ -150,25 +137,42 @@ mod tests {
         for seed in 0..total {
             let pipe = gen.pipeline(4, 1, 10);
             let plat = gen.het_platform(4, 1, 5);
-            let start = Mapping::whole(4, plat.procs().collect(), Mode::Replicated);
-            let a = anneal(
-                &pipe,
-                &plat,
-                true,
-                Objective::Period,
-                start,
-                Schedule::default(),
-                seed,
-            );
-            let got = pipe.period(&plat, &a).unwrap();
             let opt = repliflow_exact::solve_pipeline(&pipe, &plat, true, Goal::MinPeriod)
                 .unwrap()
                 .period;
+            let instance = ProblemInstance::new(pipe, plat, true, Objective::Period);
+            let a = anneal(&instance, whole(&instance), Schedule::default(), seed);
+            let got = instance.period(&a).unwrap();
             assert!(got >= opt);
             if got == opt {
                 hits += 1;
             }
         }
         assert!(hits >= total / 2);
+    }
+
+    #[test]
+    fn comm_annealing_deterministic_and_never_worse() {
+        let mut gen = Gen::new(0x92);
+        let pipe =
+            Pipeline::with_data_sizes(gen.positive_ints(4, 1, 10), gen.positive_ints(5, 1, 6));
+        let plat = gen.het_platform(3, 1, 5);
+        let instance = ProblemInstance::new(pipe, plat, true, Objective::Period).with_cost_model(
+            CostModel::WithComm {
+                network: Network::uniform(3, 2),
+                comm: CommModel::OnePort,
+                overlap: true,
+            },
+        );
+        let start = whole(&instance);
+        let before = score_instance(&instance, &start);
+        let sched = Schedule {
+            steps: 300,
+            ..Schedule::default()
+        };
+        let a = anneal(&instance, start.clone(), sched, 7);
+        let b = anneal(&instance, start, sched, 7);
+        assert_eq!(a, b, "same seed, same result");
+        assert!(score_instance(&instance, &a) <= before);
     }
 }

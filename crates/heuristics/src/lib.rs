@@ -9,17 +9,23 @@
 //!   heavy-to-fast matching for heterogeneous pipeline period (the
 //!   Theorem 9 cell), LPT placement for heterogeneous fork latency (the
 //!   Theorem 12/15 cells).
-//! * [`local_search`] — steepest-descent over a structural neighborhood
-//!   (boundary shifts, processor transfers, merges, splits, mode
-//!   toggles).
+//! * [`local_search`] — steepest-descent over the instance's
+//!   neighborhood.
 //! * [`annealing`] — simulated annealing over the same neighborhood.
-//! * [`comm`] — the portfolio generalized over a
-//!   [`ProblemInstance`](repliflow_core::instance::ProblemInstance)'s own
-//!   cost model, covering the communication-aware general model of
-//!   Sections 3.2–3.3 (with processor-swap moves, which only matter once
-//!   link bandwidths exist).
-//! * [`score`] / [`moves`] / [`neighborhood`] — shared scoring, move
-//!   generators, and the neighborhood interface the searches walk.
+//! * [`neighborhood`] — the neighborhood a search walks, picked from the
+//!   [`ProblemInstance`](repliflow_core::instance::ProblemInstance) by
+//!   [`neighborhood::instance_neighborhood`]: structural moves (boundary
+//!   shifts, processor transfers, merges, splits, mode toggles) for
+//!   simplified pipelines, the same plus processor swaps for
+//!   communication-aware pipelines (swaps only matter once link
+//!   bandwidths exist), and group moves plus swaps for forks and
+//!   fork-joins.
+//! * [`score`] — the one scorer every search ranks mappings by,
+//!   [`score::score_instance`]: it evaluates through the instance's own
+//!   cost model (the simplified Section 3.4 model or the
+//!   communication-aware model of Sections 3.2–3.3) and enforces
+//!   bi-criteria and reliability bounds on every mapping it ranks.
+//! * [`moves`] — the move generators behind the neighborhoods.
 //!
 //! Local search and annealing walk a [`neighborhood::Neighborhood`]:
 //! `fill` lists the neighbors of the current mapping, `get(k)` builds
@@ -41,7 +47,6 @@
 
 pub mod annealing;
 pub mod baselines;
-pub mod comm;
 pub mod greedy;
 pub mod local_search;
 pub mod moves;

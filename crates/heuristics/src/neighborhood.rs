@@ -1,9 +1,13 @@
-//! The neighborhood a search walks, one mapping at a time: the lazy
-//! [`PipelineNeighborhood`] for pipelines, the materialised
-//! [`ForkNeighborhood`] for forks and fork-joins (see the crate docs
-//! for the contract the lazy list keeps).
+//! The neighborhood a search walks, one mapping at a time. The
+//! instance picks it ([`instance_neighborhood`]): the lazy
+//! [`PipelineNeighborhood`] for pipelines — structural moves under the
+//! simplified model, structural moves plus processor swaps under the
+//! communication-aware one — and the materialised [`ForkNeighborhood`]
+//! for forks and fork-joins (see the crate docs for the contract the
+//! lazy list keeps).
 
-use crate::moves::neighbors_any;
+use crate::moves::{neighbors, neighbors_any, neighbors_with_swaps};
+use repliflow_core::instance::{CostModel, ProblemInstance};
 use repliflow_core::mapping::{Assignment, Mapping, Mode};
 use repliflow_core::platform::{Platform, ProcId};
 use repliflow_core::workflow::{Pipeline, Workflow};
@@ -61,6 +65,49 @@ impl Neighborhood for ForkNeighborhood<'_> {
 
     fn get(&self, k: usize) -> Mapping {
         self.listed[k].clone()
+    }
+}
+
+/// The neighborhood the searches walk under `instance`, keyed on the
+/// input:
+///
+/// * a simplified pipeline walks the structural moves
+///   ([`PipelineNeighborhood::structural`]) — under the simplified model
+///   a processor swap composes two transfers, which the structural
+///   moves already make one at a time;
+/// * a communication-aware pipeline adds processor swaps
+///   ([`PipelineNeighborhood::with_swaps`]), because there the
+///   processor serving an interval decides the link bandwidths on both
+///   of its boundaries;
+/// * forks and fork-joins walk the group moves and swaps of
+///   [`ForkNeighborhood`], under either cost model.
+///
+/// [`neighbors_instance`] is the materialised reference of this list.
+pub fn instance_neighborhood(instance: &ProblemInstance) -> Box<dyn Neighborhood + '_> {
+    let (platform, dp) = (&instance.platform, instance.allow_data_parallel);
+    match (&instance.workflow, &instance.cost_model) {
+        (Workflow::Pipeline(pipe), CostModel::Simplified) => {
+            Box::new(PipelineNeighborhood::structural(pipe, platform, dp))
+        }
+        (Workflow::Pipeline(pipe), CostModel::WithComm { .. }) => {
+            Box::new(PipelineNeighborhood::with_swaps(pipe, platform, dp))
+        }
+        (workflow, _) => Box::new(ForkNeighborhood::new(workflow, platform, dp)),
+    }
+}
+
+/// Every neighbor of `mapping` that [`instance_neighborhood`] lists,
+/// materialised through the reference move generators
+/// ([`neighbors`], [`neighbors_with_swaps`], [`neighbors_any`]) — the
+/// reference the lazy lists are tested against.
+pub fn neighbors_instance(instance: &ProblemInstance, mapping: &Mapping) -> Vec<Mapping> {
+    let (platform, dp) = (&instance.platform, instance.allow_data_parallel);
+    match (&instance.workflow, &instance.cost_model) {
+        (Workflow::Pipeline(pipe), CostModel::Simplified) => neighbors(pipe, platform, mapping, dp),
+        (Workflow::Pipeline(pipe), CostModel::WithComm { .. }) => {
+            neighbors_with_swaps(pipe, platform, mapping, dp)
+        }
+        (workflow, _) => neighbors_any(workflow, platform, mapping, dp),
     }
 }
 
@@ -139,13 +186,13 @@ pub struct PipelineNeighborhood {
 }
 
 impl PipelineNeighborhood {
-    /// The structural moves of [`neighbors`](crate::moves::neighbors).
+    /// The structural moves of [`neighbors`].
     pub fn structural(pipeline: &Pipeline, platform: &Platform, allow_dp: bool) -> Self {
         Self::build(pipeline, platform, allow_dp, false)
     }
 
     /// The structural moves followed by the processor swaps: the list
-    /// of [`neighbors_with_swaps`](crate::moves::neighbors_with_swaps).
+    /// of [`neighbors_with_swaps`].
     pub fn with_swaps(pipeline: &Pipeline, platform: &Platform, allow_dp: bool) -> Self {
         Self::build(pipeline, platform, allow_dp, true)
     }

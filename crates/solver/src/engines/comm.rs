@@ -1,8 +1,8 @@
-//! The communication-aware engines behind [`CostModel::WithComm`]
-//! routing: exhaustive enumeration of the full mapping space scored
-//! under the general model (Sections 3.2–3.3), and a comm-aware
-//! greedy + local-search + annealing portfolio for everything beyond
-//! the enumeration guard.
+//! The `comm-exact` engine behind [`CostModel::WithComm`] routing:
+//! exhaustive enumeration of the full mapping space scored under the
+//! general model (Sections 3.2–3.3). Beyond its guard the registry
+//! routes to `comm-bb` and then to the heuristic portfolio
+//! (`comm-heuristic`).
 //!
 //! [`CostModel::WithComm`]: repliflow_core::instance::CostModel::WithComm
 
@@ -10,13 +10,10 @@ use super::orient;
 use crate::engine::{Engine, EngineRun};
 use crate::report::SolveError;
 use crate::request::Budget;
-use repliflow_algorithms::Solved;
 use repliflow_core::instance::{ProblemInstance, Variant};
-use repliflow_core::mapping::{Mapping, Mode};
-use repliflow_core::rational::Rat;
+use repliflow_core::mapping::Mapping;
 use repliflow_core::workflow::Workflow;
 use repliflow_exact::{Frontier, Solution};
-use repliflow_heuristics::{baselines, comm, greedy};
 
 /// Exhaustive search over every legal mapping, scored under the
 /// instance's communication-aware cost model. Optimal in the full
@@ -99,108 +96,5 @@ pub(crate) fn solve_by_enumeration(instance: &ProblemInstance) -> Result<EngineR
         // bound (bi-criteria or reliability) unattainable under this
         // cost model.
         None => Err(SolveError::Infeasible { best_effort: None }),
-    }
-}
-
-/// Best-of-portfolio heuristics under the communication-aware cost
-/// model: baselines and shape-specific greedy construction scored with
-/// the comm-aware scorer, plus comm-aware local search and (per the
-/// [`Budget`]'s quality tier) simulated annealing for pipelines.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommHeuristicEngine;
-
-impl CommHeuristicEngine {
-    /// All candidate mappings the portfolio considers for `instance`.
-    fn candidates(&self, instance: &ProblemInstance, budget: &Budget) -> Vec<Mapping> {
-        let platform = &instance.platform;
-        let mut out = vec![
-            baselines::replicate_all(&instance.workflow, platform),
-            baselines::fastest_single(&instance.workflow, platform),
-        ];
-        match &instance.workflow {
-            Workflow::Pipeline(pipe) => {
-                let greedy_start = greedy::pipeline_period_greedy(pipe, platform);
-                let whole_start = Mapping::whole(
-                    pipe.n_stages(),
-                    platform.procs().collect(),
-                    Mode::Replicated,
-                );
-                // comm-aware local search (structural moves + processor
-                // swaps) from both starting points
-                for start in [greedy_start, whole_start.clone()] {
-                    out.push(comm::improve_instance(
-                        instance,
-                        start,
-                        budget.local_search_rounds,
-                    ));
-                }
-                // escalate to comm-aware annealing per the quality tier
-                if let Some(schedule) = budget.quality.annealing_schedule() {
-                    out.push(comm::anneal_instance(
-                        instance,
-                        whole_start,
-                        schedule,
-                        budget.seed,
-                    ));
-                }
-            }
-            // fork shapes: constructive group structure refined by the
-            // full comm-aware neighborhood (structural group moves —
-            // split / merge / leaf migration — plus processor swaps),
-            // escalating to annealing per the quality tier exactly as
-            // pipelines do
-            Workflow::Fork(fork) => {
-                let start = greedy::fork_latency_greedy(fork, platform);
-                super::push_fork_portfolio(instance, start, budget, &mut out);
-            }
-            Workflow::ForkJoin(fj) => {
-                let start = greedy::forkjoin_latency_greedy(fj, platform);
-                super::push_fork_portfolio(instance, start, budget, &mut out);
-            }
-        }
-        out
-    }
-}
-
-/// The comm-heuristic portfolio's best mapping and its lexicographic
-/// score — shared with the `comm-bb` engine, which seeds its
-/// branch-and-bound incumbent from it (the determinism test guards this
-/// path: fixed seed, fixed result).
-pub(crate) fn portfolio_best(instance: &ProblemInstance, budget: &Budget) -> ((Rat, Rat), Solved) {
-    let (best_score, best) = CommHeuristicEngine
-        .candidates(instance, budget)
-        .into_iter()
-        .map(|m| (crate::score::score(instance, &m), m))
-        .min_by(|(a, _), (b, _)| a.cmp(b))
-        .expect("the portfolio always yields candidates");
-    let (period, latency) = instance
-        .objectives(&best)
-        .expect("candidate mappings are valid");
-    (
-        best_score,
-        orient(instance.objective, best, period, latency),
-    )
-}
-
-impl Engine for CommHeuristicEngine {
-    fn name(&self) -> &'static str {
-        "comm-heuristic"
-    }
-
-    fn supports(&self, _variant: &Variant) -> bool {
-        true
-    }
-
-    fn solve(&self, instance: &ProblemInstance, budget: &Budget) -> Result<EngineRun, SolveError> {
-        let (best_score, solved) = portfolio_best(instance, budget);
-        if best_score.0 == Rat::INFINITY {
-            // Every candidate violates the bi-criteria bound; hand the
-            // registry the least-bad witness (a heuristic cannot prove
-            // the bound unattainable).
-            return Err(SolveError::Infeasible {
-                best_effort: Some(Box::new(solved)),
-            });
-        }
-        Ok(EngineRun::heuristic(solved))
     }
 }

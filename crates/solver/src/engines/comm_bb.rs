@@ -1,5 +1,5 @@
 //! The `comm-bb` engine: branch-and-bound over partial mappings for
-//! [`CostModel::WithComm`] instances, seeded with the comm-heuristic
+//! [`CostModel::WithComm`] instances, seeded with the heuristic
 //! portfolio's best mapping as the incumbent. Proves optimality
 //! whenever the search completes within the [`Budget`]'s node/time
 //! limits, and degrades gracefully to the incumbent (reported as
@@ -10,7 +10,7 @@
 //! [`CostModel::WithComm`]: repliflow_core::instance::CostModel::WithComm
 //! [`Optimality::Heuristic`]: crate::report::Optimality::Heuristic
 
-use super::{comm::portfolio_best, orient};
+use super::{heuristic::portfolio, orient};
 use crate::engine::{Engine, EngineRun};
 use crate::report::{SearchStats, SolveError};
 use crate::request::Budget;
@@ -62,7 +62,7 @@ impl Engine for CommBbEngine {
         }
         // Seed the incumbent from the heuristic portfolio: a good upper
         // bound up front is what makes the lower-bound pruning bite.
-        let (seed_score, seed) = portfolio_best(instance, budget);
+        let (seed_score, seed) = portfolio(instance, budget);
         let seed_feasible = seed_score.0.is_finite();
         // Spread the root branches over the machine. Not a budget knob:
         // completed searches return bit-identical results at any thread

@@ -1,6 +1,13 @@
-//! The built-in engines behind the registry: exhaustive search, the
-//! paper's polynomial algorithms, the heuristic portfolio, and their
-//! communication-aware counterparts.
+//! The built-in engines behind the registry: exhaustive search and the
+//! paper's polynomial algorithms for the simplified model, enumeration
+//! and branch-and-bound for the communication-aware model, the hedged
+//! race, and one heuristic portfolio for both models. The portfolio
+//! runs as [`HeuristicEngine`] (`heuristic`) on simplified instances
+//! and as [`CommHeuristicEngine`] (`comm-heuristic`) on
+//! communication-aware ones; the two engines share every line of
+//! search and differ only in their name, because the instance itself
+//! picks the cost model that prices mappings and the neighborhood the
+//! search walks.
 
 mod comm;
 mod comm_bb;
@@ -9,11 +16,11 @@ pub mod hedged;
 mod heuristic;
 mod paper;
 
-pub use comm::{CommExactEngine, CommHeuristicEngine};
+pub use comm::CommExactEngine;
 pub use comm_bb::CommBbEngine;
 pub use exact::ExactEngine;
 pub use hedged::{HedgeStats, HedgedEngine};
-pub use heuristic::HeuristicEngine;
+pub use heuristic::{CommHeuristicEngine, HeuristicEngine};
 pub use paper::PaperEngine;
 
 pub(crate) use exact::{instance_fits, within_exact_capacity};
@@ -31,42 +38,10 @@ pub(crate) fn comm_bb_capacity(instance: &repliflow_core::instance::ProblemInsta
         && instance.platform.n_procs() <= repliflow_exact::comm_bb::MAX_PROCS
 }
 
-use crate::request::Budget;
 use repliflow_algorithms::Solved;
-use repliflow_core::instance::{Objective, ProblemInstance};
+use repliflow_core::instance::Objective;
 use repliflow_core::mapping::Mapping;
 use repliflow_core::rational::Rat;
-
-/// The shared fork/fork-join portfolio tail: refine a constructive
-/// `start` with the workflow-generic neighborhood (structural group
-/// moves + processor swaps; `comm::improve_instance` evaluates through
-/// the instance's own cost model, so the same code serves the
-/// simplified and comm-aware engines), escalating to annealing per the
-/// quality tier. Keeping this in one place is what makes the
-/// infinite-bandwidth degeneracy hold at the *engine* level: both
-/// portfolios search identically, they only differ in the evaluator
-/// the cost model selects.
-pub(crate) fn push_fork_portfolio(
-    instance: &ProblemInstance,
-    start: Mapping,
-    budget: &Budget,
-    out: &mut Vec<Mapping>,
-) {
-    use repliflow_heuristics::comm;
-    out.push(comm::improve_instance(
-        instance,
-        start.clone(),
-        budget.local_search_rounds,
-    ));
-    if let Some(schedule) = budget.quality.annealing_schedule() {
-        out.push(comm::anneal_instance(
-            instance,
-            start,
-            schedule,
-            budget.seed,
-        ));
-    }
-}
 
 /// Orients a (mapping, period, latency) triple into a [`Solved`] whose
 /// `objective` field matches the instance's objective — the one place

@@ -65,7 +65,6 @@ pub mod pool;
 mod registry;
 mod report;
 mod request;
-mod score;
 mod service;
 
 pub use batch::BatchOptions;

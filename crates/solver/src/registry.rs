@@ -8,7 +8,6 @@ use crate::engines::{
 };
 use crate::report::{FallbackReason, Optimality, SolveError, SolveReport};
 use crate::request::{Budget, CancelToken, Deadline, EnginePref, SolveRequest};
-use crate::score::meets_bound;
 use repliflow_core::instance::{CostModel, Variant};
 use std::time::Instant;
 
@@ -442,7 +441,9 @@ impl EngineRegistry {
         // Defense in depth: an engine may legally return a mapping that
         // misses a bi-criteria or reliability bound (heuristics); never
         // report it as a solution.
-        let optimality = if meets_bound(instance, solved.period, solved.latency)
+        let optimality = if instance
+            .objective
+            .meets_bound(solved.period, solved.latency)
             && instance.meets_reliability_bound(&solved.mapping)
         {
             optimality

@@ -7,9 +7,12 @@
 //! through the comm-heuristic portfolio and the comm-bb engine (which
 //! seeds its incumbent from that portfolio), reliability-bounded
 //! pipelines that `Auto` hands to the comm heuristic, and simplified
-//! 15-stage pipelines forced to the heuristic engine. Any change to the
-//! neighborhood's order, its mode coercions or its deduplication shifts
-//! the annealing draws and shows here as a changed report.
+//! instances forced to the heuristic engine: 15-stage pipelines, smaller
+//! pipelines under every single- and bi-criteria objective (strict
+//! bounds included) with data-parallelism on and off, and forks and
+//! fork-joins. Any change to the neighborhood's order, its mode
+//! coercions or its deduplication shifts the annealing draws and shows
+//! here as a changed report.
 //!
 //! The quick profile checks every fourth case; the `slow-tests` feature
 //! checks all of them. After an intentional change to the search,
@@ -20,7 +23,7 @@
 use repliflow_core::gen::Gen;
 use repliflow_core::instance::{Objective, ProblemInstance};
 use repliflow_core::rational::Rat;
-use repliflow_core::workflow::Pipeline;
+use repliflow_core::workflow::{Pipeline, Workflow};
 use repliflow_solver::{Budget, CommModel, CostModel, EnginePref, EngineRegistry, SolveRequest};
 
 const SNAPSHOT_PATH: &str = concat!(
@@ -113,6 +116,52 @@ fn simplified_pipeline(i: usize) -> ProblemInstance {
     )
 }
 
+/// A simplified pipeline under the `(i / 2) % 6`-th single- or
+/// bi-criteria objective, data-parallelism on for even `i`. Period
+/// bounds sit between one and three times the pooled-speed lower bound
+/// `W / Σs`, latency bounds between one and two times `W / max s`, so
+/// some bind, some are slack and some the heuristic cannot meet.
+fn simplified_bicriteria(i: usize) -> ProblemInstance {
+    let mut gen = Gen::new(0x5A9_3000 + i as u64);
+    let n = gen.size(6, 10);
+    let p = gen.size(4, 6);
+    let pipe = gen.pipeline(n, 1, 30);
+    let platform = gen.het_platform(p, 1, 8);
+    let work = pipe.weights().iter().sum::<u64>() as i128;
+    let pooled = platform.speeds().iter().sum::<u64>() as i128;
+    let fastest = *platform.speeds().iter().max().expect("non-empty") as i128;
+    let period_bound = Rat::new(work * gen.int(10, 30) as i128, pooled * 10);
+    let latency_bound = Rat::new(work * gen.int(10, 20) as i128, fastest * 10);
+    let objective = match (i / 2) % 6 {
+        0 => Objective::Period,
+        1 => Objective::Latency,
+        2 => Objective::LatencyUnderPeriod(period_bound),
+        3 => Objective::PeriodUnderLatency(latency_bound),
+        4 => Objective::LatencyUnderPeriodStrict(period_bound),
+        _ => Objective::PeriodUnderLatencyStrict(latency_bound),
+    };
+    ProblemInstance::new(pipe, platform, i.is_multiple_of(2), objective)
+}
+
+/// A simplified fork (`i < 4`) or fork-join, period for even `i`,
+/// data-parallelism on for `i % 4 < 2`.
+fn simplified_fork_shape(i: usize) -> ProblemInstance {
+    let mut gen = Gen::new(0x5A9_4000 + i as u64);
+    let leaves = gen.size(4, 7);
+    let workflow: Workflow = if i < 4 {
+        gen.fork(leaves, 1, 30).into()
+    } else {
+        gen.forkjoin(leaves, 1, 30).into()
+    };
+    let objective = if i.is_multiple_of(2) {
+        Objective::Period
+    } else {
+        Objective::Latency
+    };
+    let p = gen.size(3, 5);
+    ProblemInstance::new(workflow, gen.het_platform(p, 1, 8), i % 4 < 2, objective)
+}
+
 /// Every recorded case, in file order: `(name, request)`.
 fn cases() -> Vec<(String, SolveRequest)> {
     let mut out = Vec::new();
@@ -140,6 +189,22 @@ fn cases() -> Vec<(String, SolveRequest)> {
         out.push((
             format!("simplified-15/{i}/heuristic"),
             SolveRequest::new(simplified_pipeline(i))
+                .engine(EnginePref::Heuristic)
+                .budget(budget()),
+        ));
+    }
+    for i in 0..24 {
+        out.push((
+            format!("simplified-bicriteria/{i}/heuristic"),
+            SolveRequest::new(simplified_bicriteria(i))
+                .engine(EnginePref::Heuristic)
+                .budget(budget()),
+        ));
+    }
+    for i in 0..8 {
+        out.push((
+            format!("simplified-fork/{i}/heuristic"),
+            SolveRequest::new(simplified_fork_shape(i))
                 .engine(EnginePref::Heuristic)
                 .budget(budget()),
         ));

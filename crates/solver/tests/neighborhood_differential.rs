@@ -14,9 +14,10 @@ use repliflow_core::instance::{CostModel, Objective, ProblemInstance};
 use repliflow_core::mapping::{Assignment, Mapping, Mode};
 use repliflow_core::platform::{Platform, ProcId};
 use repliflow_core::workflow::{Pipeline, Workflow};
-use repliflow_heuristics::comm::{instance_neighborhood, neighbors_instance};
 use repliflow_heuristics::moves::{neighbors, neighbors_with_swaps};
-use repliflow_heuristics::neighborhood::{Neighborhood, PipelineNeighborhood};
+use repliflow_heuristics::neighborhood::{
+    instance_neighborhood, neighbors_instance, Neighborhood, PipelineNeighborhood,
+};
 use repliflow_solver::{CommModel, Network};
 
 /// Random walks per configuration.
@@ -247,10 +248,12 @@ fn wide_pipeline_has_no_stage_or_processor_cap() {
 
 #[test]
 fn instance_neighborhood_matches_neighbors_instance() {
-    // the neighborhood the comm searches walk, for pipelines (lazy)
-    // and forks (materialised), against the reference dispatcher
+    // the neighborhood the searches walk, for every arm of the
+    // dispatcher — comm pipelines (lazy, with swaps), simplified
+    // pipelines (lazy, structural moves only) and forks under either
+    // cost model (materialised) — against the reference dispatcher
     let mut gen = Gen::new(0x1A2_4000);
-    for i in 0..WALKS {
+    for i in 0..2 * WALKS {
         let p = gen.size(2, 5);
         let workflow: Workflow = if i.is_multiple_of(2) {
             let n = gen.size(2, 7);
@@ -261,16 +264,21 @@ fn instance_neighborhood_matches_neighbors_instance() {
             gen.fork(leaves, 1, 12).into()
         };
         let n = workflow.n_stages();
+        let cost_model = if i < WALKS {
+            CostModel::WithComm {
+                network: Network::uniform(p, 2),
+                comm: CommModel::OnePort,
+                overlap: true,
+            }
+        } else {
+            CostModel::Simplified
+        };
         let instance = ProblemInstance {
             workflow,
             platform: gen.het_platform(p, 1, 5),
             allow_data_parallel: i.is_multiple_of(3),
             objective: Objective::Period,
-            cost_model: CostModel::WithComm {
-                network: Network::uniform(p, 2),
-                comm: CommModel::OnePort,
-                overlap: true,
-            },
+            cost_model,
         };
         let mut lazy = instance_neighborhood(&instance);
         let mut current = Mapping::whole(n, instance.platform.procs().collect(), Mode::Replicated);
@@ -287,4 +295,36 @@ fn instance_neighborhood_matches_neighbors_instance() {
             current = reference[gen.size(0, reference.len() - 1)].clone();
         }
     }
+}
+
+#[test]
+fn simplified_pipelines_walk_no_swaps() {
+    // the simplified arm lists the structural moves alone: on a
+    // pipeline whose every group holds one processor, a swap would
+    // exchange two of them, and no structural move does that
+    let pipe = Pipeline::new(vec![3, 5, 7]);
+    let platform = Platform::heterogeneous(vec![1, 2, 3]);
+    let mapping = Mapping::new(
+        (0..3)
+            .map(|s| Assignment::interval(s, s, vec![ProcId(s)], Mode::Replicated))
+            .collect(),
+    );
+    let swapped = Mapping::new(vec![
+        Assignment::interval(0, 0, vec![ProcId(1)], Mode::Replicated),
+        Assignment::interval(1, 1, vec![ProcId(0)], Mode::Replicated),
+        Assignment::interval(2, 2, vec![ProcId(2)], Mode::Replicated),
+    ]);
+    let simplified = ProblemInstance::new(pipe, platform, false, Objective::Period);
+    let comm = simplified.clone().with_cost_model(CostModel::WithComm {
+        network: Network::uniform(3, 2),
+        comm: CommModel::OnePort,
+        overlap: true,
+    });
+    let listed = |instance: &ProblemInstance| {
+        let mut lazy = instance_neighborhood(instance);
+        lazy.fill(&mapping);
+        (0..lazy.len()).map(|k| lazy.get(k)).collect::<Vec<_>>()
+    };
+    assert!(!listed(&simplified).contains(&swapped));
+    assert!(listed(&comm).contains(&swapped));
 }

@@ -181,3 +181,32 @@ fn small_comm_instances_enforce_bounds_through_comm_exact() {
     let mapping = report.mapping.as_ref().expect("witness");
     assert!(instance.reliability(mapping) >= bound);
 }
+
+#[test]
+fn heuristic_search_ranks_by_reliability_not_only_the_final_pick() {
+    // A search that ranks neighbors by latency alone walks to mappings
+    // that miss the bound, and the final reliability filter then falls
+    // back to a slow baseline (latency 70). Scoring every neighbor
+    // through the bound keeps the descent among reliable mappings,
+    // where it reaches the exact optimum.
+    let registry = EngineRegistry::default();
+    let instance = ProblemInstance {
+        cost_model: CostModel::Simplified,
+        workflow: Pipeline::new(vec![14, 18, 19, 3, 16]).into(),
+        platform: Platform::heterogeneous(vec![2, 5, 1, 6]).with_failure_probs(vec![
+            Rat::new(3, 100),
+            Rat::new(11, 100),
+            Rat::new(3, 25),
+            Rat::new(17, 100),
+        ]),
+        allow_data_parallel: true,
+        objective: Objective::LatencyUnderReliability(Rat::new(19, 20)),
+    };
+    let exact = solve(&registry, &instance, EnginePref::Exact).expect("exact solve");
+    assert_eq!(exact.optimality, Optimality::Proven);
+    assert_eq!(exact.latency, Some(Rat::int(14)));
+    let heuristic = solve(&registry, &instance, EnginePref::Heuristic).expect("heuristic solve");
+    assert_eq!(heuristic.engine_used, "heuristic");
+    assert!(instance.meets_reliability_bound(heuristic.mapping.as_ref().expect("witness")));
+    assert_eq!(heuristic.latency, Some(Rat::int(14)));
+}
